@@ -14,6 +14,7 @@ import (
 
 	"deepheal/internal/campaign"
 	"deepheal/internal/core"
+	"deepheal/internal/engine"
 	"deepheal/internal/faultinject"
 )
 
@@ -246,5 +247,56 @@ func TestSimResumeRejectsTruncatedCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "resume from") {
 		t.Errorf("resume error %q does not identify the checkpoint", err)
+	}
+}
+
+// TestSimResumeRejectsGobCheckpoint resumes from testdata/sim_gob_v2.ckpt, a
+// `sim -rows 3 -cols 3 -steps 25` checkpoint taken at step 10 by the last
+// build that wrote the gob container. The resume must fail with the
+// dedicated error before anything runs, and leave the file where it was; a
+// simulator that rejected it must still run exactly like a fresh one.
+func TestSimResumeRejectsGobCheckpoint(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "sim_gob_v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sim.ckpt")
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"sim", "-rows", "3", "-cols", "3", "-steps", "25", "-checkpoint", ckpt})
+	if !errors.Is(err, engine.ErrNotCompact) {
+		t.Fatalf("resume from a gob checkpoint: err = %v, want engine.ErrNotCompact", err)
+	}
+	if !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "resume from") {
+		t.Errorf("resume error %q does not name the checkpoint and the retired gob form", err)
+	}
+	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, old) {
+		t.Errorf("rejected checkpoint was modified or removed (err %v)", err)
+	}
+
+	cfg := core.ConfigForGrid(3, 3)
+	cfg.Steps = 25
+	sim, err := core.NewSimulator(cfg, core.DefaultDeepHealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Restore(old); !errors.Is(err, engine.ErrNotCompact) {
+		t.Fatalf("core restore of a gob checkpoint: err = %v, want engine.ErrNotCompact", err)
+	}
+	got, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.NewSimulator(cfg, core.DefaultDeepHealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GuardbandFrac != want.GuardbandFrac || got.FinalShiftV != want.FinalShiftV || len(got.Series) != len(want.Series) {
+		t.Errorf("simulator that rejected the checkpoint diverged from a fresh run: %+v vs %+v", got, want)
 	}
 }

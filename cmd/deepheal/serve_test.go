@@ -12,9 +12,11 @@ import (
 )
 
 // startServe runs the serve subcommand in-process against a free port and
-// returns its base URL plus a shutdown function that simulates SIGTERM
-// (cancels the context, as withSignalHandling would) and waits for the
-// clean exit.
+// returns its base URL, once /readyz reports the fleet whole, plus a
+// shutdown function that simulates SIGTERM (cancels the context, as
+// withSignalHandling would) and waits for the clean exit. Serve listens
+// before it restores -checkpoint, so a query that does not wait for
+// readiness can see a partly restored fleet.
 func startServe(t *testing.T, extra ...string) (base string, shutdown func()) {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
@@ -33,6 +35,20 @@ func startServe(t *testing.T, extra ...string) (base string, shutdown func()) {
 		if time.Now().After(deadline) {
 			cancel()
 			t.Fatalf("serve did not come up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("serve did not become ready: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -4,8 +4,7 @@ import "math"
 
 // BatchApply evolves every device in devs under condition c for dur seconds.
 // It is equivalent to — and bit-identical with — calling d.Apply(c, dur) on
-// each device in order, but devices sharing a CET grid and storage mode are
-// advanced together, substep by substep:
+// each device in order, but devices sharing a CET grid are advanced together, substep by substep:
 //
 //   - When the condition key has a cached kernel, the cache is consulted once
 //     per substep for the whole group instead of once per device.
@@ -31,25 +30,20 @@ func BatchApply(devs []*Device, c Condition, dur float64) {
 		devs[0].Apply(c, dur)
 		return
 	}
-	// Group by (grid, storage) in first-seen order. Grid identity implies
-	// equal Params — the shared cache keys grids by Params, and a private
-	// grid is only ever shared among clones — so each group has one pair of
-	// acceleration factors.
-	type groupKey struct {
-		grid    *cetGrid
-		storage Storage
-	}
-	groups := make(map[groupKey][]*Device, 4)
-	order := make([]groupKey, 0, 4)
+	// Group by grid in first-seen order. Grid identity implies equal Params
+	// — the shared cache keys grids by Params, and a private grid is only
+	// ever shared among clones — so each group has one pair of acceleration
+	// factors.
+	groups := make(map[*cetGrid][]*Device, 4)
+	order := make([]*cetGrid, 0, 4)
 	for _, d := range devs {
-		k := groupKey{d.grid, d.Storage()}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		if _, ok := groups[d.grid]; !ok {
+			order = append(order, d.grid)
 		}
-		groups[k] = append(groups[k], d)
+		groups[d.grid] = append(groups[d.grid], d)
 	}
-	for _, k := range order {
-		group := groups[k]
+	for _, g := range order {
+		group := groups[g]
 		if len(group) == 1 {
 			// A singleton gains nothing from kernel materialisation; the
 			// plain path's separable sweep is strictly cheaper.
@@ -58,28 +52,20 @@ func BatchApply(devs []*Device, c Condition, dur float64) {
 		}
 		metBatchGroups.Inc()
 		metBatchDevices.Add(uint64(len(group)))
-		if k.storage == StorageFloat32 {
-			occs := make([][]float32, len(group))
-			for i, d := range group {
-				occs[i] = d.occ32
-			}
-			batchApplyGroup(group, occs, c, dur)
-		} else {
-			occs := make([][]float64, len(group))
-			for i, d := range group {
-				occs[i] = d.occ
-			}
-			batchApplyGroup(group, occs, c, dur)
-		}
+		batchApplyGroup(group, c, dur)
 	}
 }
 
-// batchApplyGroup advances one same-grid, same-storage group. It replicates
-// the exact substep sequence of Device.ApplyObserved with a nil observer —
+// batchApplyGroup advances one same-grid group. It replicates the exact
+// substep sequence of Device.ApplyObserved with a nil observer —
 // min(maxSubstep, remaining) chunks, the closed-form fast path for
 // non-stressing conditions, permanent kinetics per substep — with the device
 // loop innermost.
-func batchApplyGroup[F floatOcc](devs []*Device, occs [][]F, c Condition, dur float64) {
+func batchApplyGroup(devs []*Device, c Condition, dur float64) {
+	occs := make([][]float64, len(devs))
+	for i, d := range devs {
+		occs[i] = d.occ
+	}
 	d0 := devs[0]
 	captureAF := d0.params.captureAccel(c)
 	emitAF := d0.params.emissionAccel(c)
@@ -115,7 +101,7 @@ func batchApplyGroup[F floatOcc](devs []*Device, occs [][]F, c Condition, dur fl
 // kernel serves the whole group directly; an uncached key materialises the
 // kernel once into pooled scratch, amortising the axis exponentials and the
 // per-cell rate divisions across the group.
-func batchEvolve[F floatOcc](g *cetGrid, occs [][]F, captureAF, emitAF, dt float64, phase uint64) {
+func batchEvolve(g *cetGrid, occs [][]float64, captureAF, emitAF, dt float64, phase uint64) {
 	if dt <= 0 || (captureAF <= 0 && emitAF <= 0) {
 		return
 	}

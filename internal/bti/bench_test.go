@@ -53,12 +53,12 @@ func benchFleet(b *testing.B) []*Device {
 	occ := make([]float64, p.GridCapture*p.GridEmission)
 	for k := uint64(0); g.kernelFloats+2*g.nc*g.ne <= maxKernelFloats; k++ {
 		af := 1 + float64(k)*1e-6
-		g.evolve(occ, af, af, maxSubstep, 2*k+1) // record the key
-		g.evolve(occ, af, af, maxSubstep, 2*k+2) // promote and admit it
+		gridEvolve(g, occ, af, af, maxSubstep, 2*k+1) // record the key
+		gridEvolve(g, occ, af, af, maxSubstep, 2*k+2) // promote and admit it
 	}
 	devs := make([]*Device, 64)
 	for i := range devs {
-		devs[i] = newDeviceOnGrid(p, StorageFloat64, g)
+		devs[i] = newDeviceOnGrid(p, g)
 	}
 	return devs
 }
@@ -99,11 +99,10 @@ func BenchmarkBatchApplyPerDevice(b *testing.B) {
 	b.ReportMetric(float64(len(devs))*float64(b.N)/b.Elapsed().Seconds(), "device-substeps/s")
 }
 
-// BenchmarkPopulationApplyFloat32 measures a varied 256-member float32
-// population advancing one substep — the fleet-scale Monte Carlo shape the
-// storage mode exists for.
-func BenchmarkPopulationApplyFloat32(b *testing.B) {
-	pop, err := NewPopulationStorage(DefaultParams(), DefaultVariation(), 256, benchRng(), StorageFloat32)
+// BenchmarkPopulationApply measures a varied 256-member population advancing
+// one substep — the fleet-scale Monte Carlo shape.
+func BenchmarkPopulationApply(b *testing.B) {
+	pop, err := NewPopulation(DefaultParams(), DefaultVariation(), 256, benchRng())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,20 +82,13 @@ func gridAxis(mu, sigma, span float64, n int) []float64 {
 	return out
 }
 
-// floatOcc constrains the occupancy element type. All kernel arithmetic runs
-// in float64 regardless; a float32 instantiation only narrows the stored
-// result, halving resident occupancy bytes for fleet-scale populations. The
-// float64 instantiation performs the exact operation sequence the pre-generic
-// code did, so it stays bit-identical.
-type floatOcc interface{ ~float32 | ~float64 }
-
 // gridEvolve advances the occupancy vector occ (len nc*ne, values in [0,1])
 // by dt seconds under condition acceleration factors: captureAF multiplies
 // capture rates (0 when not stressing) and emitAF multiplies emission rates.
 // It dispatches through the condition-keyed kernel cache (phase is the
 // caller's Apply-phase token, see kernel.go); with every rate zero (or a
 // degenerate duration) the sweep is a no-op and is skipped.
-func gridEvolve[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64, phase uint64) {
+func gridEvolve(g *cetGrid, occ []float64, captureAF, emitAF, dt float64, phase uint64) {
 	if dt <= 0 || (captureAF <= 0 && emitAF <= 0) {
 		return
 	}
@@ -106,15 +99,10 @@ func gridEvolve[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64, 
 	separableSweep(g, occ, captureAF, emitAF, dt)
 }
 
-// evolve is the float64 form of gridEvolve.
-func (g *cetGrid) evolve(occ []float64, captureAF, emitAF, dt float64, phase uint64) {
-	gridEvolve(g, occ, captureAF, emitAF, dt, phase)
-}
-
 // naiveSweep is the direct per-cell reference implementation (one
 // exponential per cell per substep). The kernel path must match it within
 // 1e-12 relative; the differential tests in kernel_test.go enforce that.
-func naiveSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
+func naiveSweep(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) {
 	for i := 0; i < g.nc; i++ {
 		var rc float64
 		if captureAF > 0 {
@@ -128,35 +116,17 @@ func naiveSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) 
 				continue
 			}
 			pInf := rc / rate
-			row[j] = F(pInf + (float64(row[j])-pInf)*math.Exp(-rate*dt))
+			row[j] = pInf + (row[j]-pInf)*math.Exp(-rate*dt)
 		}
 	}
 }
 
-// evolveNaive is the float64 form of naiveSweep.
-func (g *cetGrid) evolveNaive(occ []float64, captureAF, emitAF, dt float64) {
-	naiveSweep(g, occ, captureAF, emitAF, dt)
-}
-
 // gridShift returns the threshold-voltage contribution of the occupancy
-// vector; the accumulation is float64 for either storage.
-func gridShift[F floatOcc](g *cetGrid, occ []F) float64 {
+// vector.
+func gridShift(g *cetGrid, occ []float64) float64 {
 	var s float64
 	for k, w := range g.weight {
-		s += w * float64(occ[k])
+		s += w * occ[k]
 	}
 	return s
-}
-
-// shift is the float64 form of gridShift.
-func (g *cetGrid) shift(occ []float64) float64 {
-	return gridShift(g, occ)
-}
-
-// meanOccupancy returns the weight-averaged occupancy in [0, 1].
-func (g *cetGrid) meanOccupancy(occ []float64, maxShift float64) float64 {
-	if maxShift <= 0 {
-		return 0
-	}
-	return g.shift(occ) / maxShift
 }

@@ -12,17 +12,5 @@ func (d *Device) StepUnder(c engine.Condition) error {
 	return nil
 }
 
-// Restore implements engine.Component by rewinding the receiver in place to
-// a Snapshot taken from a compatible device.
-func (d *Device) Restore(data []byte) error {
-	nd, err := RestoreDevice(data)
-	if err != nil {
-		return err
-	}
-	d.Release() // the replacement state holds its own grid reference
-	*d = *nd
-	return nil
-}
-
 // Validate implements engine.Component.
 func (d *Device) Validate() error { return d.params.Validate() }

@@ -67,10 +67,10 @@ func TestDeviceCompactSnapshotRoundTrip(t *testing.T) {
 	d := MustNewDevice(p)
 	d.Apply(Condition{GateVoltage: 1.2, Temp: units.Celsius(125)}, 7200)
 	d.Apply(Condition{GateVoltage: 0, Temp: units.Celsius(125)}, 1800)
-	data := d.SnapshotCompact()
+	data := mustSnapshot(t, d)
 
 	r := MustNewDevice(p)
-	if err := r.RestoreCompact(data); err != nil {
+	if err := r.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if r.ShiftV() != d.ShiftV() || r.Age() != d.Age() || r.PermanentV() != d.PermanentV() {
@@ -88,14 +88,14 @@ func TestDeviceCompactSnapshotRoundTrip(t *testing.T) {
 func TestDeviceCompactRejectsMismatchAndGarbage(t *testing.T) {
 	p := DefaultParams().Coarse()
 	d := MustNewDevice(p)
-	data := d.SnapshotCompact()
+	data := mustSnapshot(t, d)
 
 	other := MustNewDevice(DefaultParams()) // different grid dimensions
-	if err := other.RestoreCompact(data); err == nil {
+	if err := other.Restore(data); err == nil {
 		t.Error("compact snapshot accepted by a device with different grid dimensions")
 	}
 	for _, junk := range [][]byte{nil, {}, []byte("x"), data[:len(data)-1]} {
-		if err := MustNewDevice(p).RestoreCompact(junk); err == nil {
+		if err := MustNewDevice(p).Restore(junk); err == nil {
 			t.Errorf("garbage of %d bytes accepted", len(junk))
 		}
 	}

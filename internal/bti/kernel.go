@@ -195,19 +195,13 @@ func (g *cetGrid) fillKernel(k *evolveKernel, captureAF, emitAF, dt float64) {
 }
 
 // kernelSweep advances the occupancy vector by one kernel substep: a pure
-// fused multiply-add sweep with no divisions or transcendentals. The
-// arithmetic is float64 for either storage; float32 only narrows the store.
-func kernelSweep[F floatOcc](k *evolveKernel, occ []F) {
+// fused multiply-add sweep with no divisions or transcendentals.
+func kernelSweep(k *evolveKernel, occ []float64) {
 	pInf := k.pInf[:len(occ)]
 	decay := k.decay[:len(occ)]
 	for idx := range occ {
-		occ[idx] = F(pInf[idx] + (float64(occ[idx])-pInf[idx])*decay[idx])
+		occ[idx] = pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
 	}
-}
-
-// apply is the float64 form of kernelSweep.
-func (k *evolveKernel) apply(occ []float64) {
-	kernelSweep(k, occ)
 }
 
 // axisScratch is the emission-axis working set of one direct separable
@@ -221,7 +215,7 @@ type axisScratch struct {
 // emission-axis rates and decays are computed once into pooled scratch and
 // the capture axis is folded in per row. Bit-identical to a kernel built
 // for the same key.
-func separableSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float64) {
+func separableSweep(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) {
 	metSeparableSweep.Inc()
 	sc, _ := g.scratch.Get().(*axisScratch)
 	if sc == nil || len(sc.re) != g.ne {
@@ -245,15 +239,10 @@ func separableSweep[F floatOcc](g *cetGrid, occ []F, captureAF, emitAF, dt float
 				continue
 			}
 			pInf := rc / rate
-			row[j] = F(pInf + (float64(row[j])-pInf)*(dc*decayE[j]))
+			row[j] = pInf + (row[j]-pInf)*(dc*decayE[j])
 		}
 	}
 	g.scratch.Put(sc)
-}
-
-// evolveSeparable is the float64 form of separableSweep.
-func (g *cetGrid) evolveSeparable(occ []float64, captureAF, emitAF, dt float64) {
-	separableSweep(g, occ, captureAF, emitAF, dt)
 }
 
 // scratchKernel returns a pooled kernel filled for the condition key — the

@@ -51,12 +51,12 @@ func TestEvolveMatchesNaive(t *testing.T) {
 			sep := append([]float64(nil), ref...)
 			ker := append([]float64(nil), ref...)
 
-			g.evolveNaive(ref, captureAF, emitAF, dt)
-			g.evolveSeparable(sep, captureAF, emitAF, dt)
+			naiveSweep(g, ref, captureAF, emitAF, dt)
+			separableSweep(g, sep, captureAF, emitAF, dt)
 			// Promote the key (first sight in phase 1, build in phase 2),
 			// then apply the cached kernel.
-			g.evolve(make([]float64, len(ref)), captureAF, emitAF, dt, 1)
-			g.evolve(ker, captureAF, emitAF, dt, 2)
+			gridEvolve(g, make([]float64, len(ref)), captureAF, emitAF, dt, 1)
+			gridEvolve(g, ker, captureAF, emitAF, dt, 2)
 
 			for i := range ref {
 				if d := relDiff(sep[i], ref[i]); d > 1e-12 {
@@ -81,9 +81,9 @@ func TestEvolveShortCircuits(t *testing.T) {
 	rng := rngx.New(7)
 	occ := randomOcc(rng, g.nc*g.ne)
 	want := append([]float64(nil), occ...)
-	g.evolve(occ, 0, 0, 3600, 1)
-	g.evolve(occ, 1, 1, 0, 1)
-	g.evolve(occ, 1, 1, -5, 1)
+	gridEvolve(g, occ, 0, 0, 3600, 1)
+	gridEvolve(g, occ, 1, 1, 0, 1)
+	gridEvolve(g, occ, 1, 1, -5, 1)
 	for i := range occ {
 		if occ[i] != want[i] {
 			t.Fatalf("cell %d modified by a degenerate evolve: %g != %g", i, occ[i], want[i])
@@ -100,7 +100,7 @@ func applyReference(d *Device, c Condition, dur float64) {
 	elapsed := 0.0
 	for elapsed < dur {
 		step := math.Min(maxSubstep, dur-elapsed)
-		d.grid.evolveNaive(d.occ, captureAF, emitAF, step)
+		naiveSweep(d.grid, d.occ, captureAF, emitAF, step)
 		d.stepPermanent(c, emitAF, step)
 		elapsed += step
 		d.age += step
@@ -213,8 +213,8 @@ func TestKernelCacheBounds(t *testing.T) {
 	occ := make([]float64, g.nc*g.ne)
 	for i := 0; i < 1200; i++ {
 		dt := 1 + float64(i) // distinct key per i
-		g.evolve(occ, 1, 1, dt, uint64(2*i+1))
-		g.evolve(occ, 1, 1, dt, uint64(2*i+2))
+		gridEvolve(g, occ, 1, 1, dt, uint64(2*i+1))
+		gridEvolve(g, occ, 1, 1, dt, uint64(2*i+2))
 		g.mu.RLock()
 		floats, entries := g.kernelFloats, len(g.kernels)
 		g.mu.RUnlock()
@@ -256,8 +256,8 @@ func TestConcurrentEvolveSharedGrid(t *testing.T) {
 				k := keys[rng.IntN(len(keys))]
 				occ := randomOcc(rng, g.nc*g.ne)
 				want := append([]float64(nil), occ...)
-				g.evolve(occ, k.captureAF, k.emitAF, k.dt, uint64(w*1000+iter))
-				g.evolveNaive(want, k.captureAF, k.emitAF, k.dt)
+				gridEvolve(g, occ, k.captureAF, k.emitAF, k.dt, uint64(w*1000+iter))
+				naiveSweep(g, want, k.captureAF, k.emitAF, k.dt)
 				for i := range occ {
 					if relDiff(occ[i], want[i]) > 1e-12 {
 						errs <- "concurrent evolve diverged from naive reference"
@@ -339,9 +339,9 @@ func TestKernelCacheMetrics(t *testing.T) {
 	p := DefaultParams().Coarse()
 	g := newCETGrid(p)
 	occ := make([]float64, g.nc*g.ne)
-	g.evolve(occ, 1, 1, 900, 1) // first sight: miss, separable sweep
-	g.evolve(occ, 1, 1, 900, 2) // second phase: promotion build
-	g.evolve(occ, 1, 1, 900, 3) // cached: hit
+	gridEvolve(g, occ, 1, 1, 900, 1) // first sight: miss, separable sweep
+	gridEvolve(g, occ, 1, 1, 900, 2) // second phase: promotion build
+	gridEvolve(g, occ, 1, 1, 900, 3) // cached: hit
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["deepheal_bti_kernel_builds_total"]; got != 1 {

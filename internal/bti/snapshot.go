@@ -1,108 +1,22 @@
 package bti
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 )
 
-// deviceSnapshot is the serialised form of a Device's mutable state. The
-// parameters are stored alongside so a restore can verify it is being
-// applied to a compatible model. Exactly one occupancy slice is populated,
-// per Storage; snapshots written before the float32 mode existed decode with
-// the zero Storage (StorageFloat64) and a nil Occupancy32, so they restore
-// unchanged.
-type deviceSnapshot struct {
-	Params      Params
-	Storage     Storage
-	Occupancy   []float64
-	Occupancy32 []float32
-	PrecursorV  float64
-	LockedV     float64
-	Age         float64
-}
+// Snapshot codec. A system checkpoint holds many devices whose Params the
+// owning chip's configuration already pins, so a snapshot stores only the
+// mutable state: grid dimensions (as a compatibility check), the three
+// permanent-state floats, and the raw occupancy. The occupancy bytes are
+// transposed byte-plane-wise (HDF5-style shuffle) so the slowly-varying
+// high-order exponent/sign bytes of neighbouring cells become long runs that
+// the engine container's DEFLATE layer can squeeze; the transform is exactly
+// invertible, keeping restores bit-identical.
 
-// Snapshot serialises the device's aging state. Use RestoreDevice to resume
-// a long-running simulation (e.g. a lifetime study checkpointed across
-// processes).
-func (d *Device) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	snap := deviceSnapshot{
-		Params:      d.params,
-		Storage:     d.Storage(),
-		Occupancy:   d.occ,
-		Occupancy32: d.occ32,
-		PrecursorV:  d.precursorV,
-		LockedV:     d.lockedV,
-		Age:         d.age,
-	}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("bti: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreDevice rebuilds a device from a Snapshot, in the storage mode the
-// snapshot was taken with.
-func RestoreDevice(data []byte) (*Device, error) {
-	var snap deviceSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("bti: restore: %w", err)
-	}
-	d, err := NewDeviceStorage(snap.Params, snap.Storage)
-	if err != nil {
-		return nil, fmt.Errorf("bti: restore: %w", err)
-	}
-	if snap.Storage == StorageFloat32 {
-		if len(snap.Occupancy32) != len(d.occ32) {
-			return nil, fmt.Errorf("bti: restore: occupancy size %d does not match grid %d",
-				len(snap.Occupancy32), len(d.occ32))
-		}
-		for i, v := range snap.Occupancy32 {
-			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
-			}
-		}
-		copy(d.occ32, snap.Occupancy32)
-	} else {
-		if len(snap.Occupancy) != len(d.occ) {
-			return nil, fmt.Errorf("bti: restore: occupancy size %d does not match grid %d",
-				len(snap.Occupancy), len(d.occ))
-		}
-		for i, v := range snap.Occupancy {
-			if v < 0 || v > 1 {
-				return nil, fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, v)
-			}
-		}
-		copy(d.occ, snap.Occupancy)
-	}
-	d.precursorV = snap.PrecursorV
-	d.lockedV = snap.LockedV
-	d.age = snap.Age
-	return d, nil
-}
-
-// Compact codec. The gob form above carries the full Params struct per
-// device so a snapshot is self-describing; a fleet checkpoint holds
-// thousands of devices whose Params the chip spec already pins, so the
-// compact form stores only the mutable state: grid dimensions (as a
-// compatibility check), the three permanent-state floats, and the raw
-// occupancy. The occupancy bytes are transposed byte-plane-wise
-// (HDF5-style shuffle) so the slowly-varying high-order exponent/sign
-// bytes of neighbouring cells become long runs that the container's
-// DEFLATE layer can squeeze; the transform is exactly invertible, keeping
-// restores bit-identical.
-
-// compactDeviceMagic tags the compact device framing with float64 occupancy
-// planes; compactDeviceMagic32 tags the float32 variant (4-byte planes, half
-// the payload). The magic doubles as the storage-mode check: a restore
-// requires the payload's mode to match the receiving device's.
-const (
-	compactDeviceMagic   = 'B'
-	compactDeviceMagic32 = 'b'
-)
+// deviceMagic leads every device snapshot.
+const deviceMagic = 'B'
 
 // shuffleBytes transposes an n×stride byte matrix into dst: plane b of the
 // output holds byte b of every element.
@@ -125,97 +39,73 @@ func unshuffleBytes(dst, src []byte, stride int) {
 	}
 }
 
-// SnapshotCompact serialises the device's mutable state in the compact
-// fleet framing. Restore with RestoreCompact on a device built from the
-// same Params and storage mode. Float32 devices emit 4-byte planes, halving
-// the dominant payload.
-func (d *Device) SnapshotCompact() []byte {
-	stride, cells := 8, len(d.occ)
-	magic := byte(compactDeviceMagic)
-	if d.occ32 != nil {
-		stride, cells = 4, len(d.occ32)
-		magic = compactDeviceMagic32
-	}
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+24+stride*cells)
-	buf = append(buf, magic)
+// Snapshot implements engine.Component: it serialises the device's aging
+// state. Restore it on a device built from the same Params. The error is
+// always nil.
+func (d *Device) Snapshot() ([]byte, error) {
+	cells := len(d.occ)
+	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+24+8*cells)
+	buf = append(buf, deviceMagic)
 	buf = binary.AppendUvarint(buf, uint64(d.params.GridCapture))
 	buf = binary.AppendUvarint(buf, uint64(d.params.GridEmission))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.precursorV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.lockedV))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.age))
-	raw := make([]byte, stride*cells)
-	if d.occ32 != nil {
-		for i, v := range d.occ32 {
-			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-		}
-	} else {
-		for i, v := range d.occ {
-			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-		}
+	raw := make([]byte, 8*cells)
+	for i, v := range d.occ {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
 	shuffled := make([]byte, len(raw))
-	shuffleBytes(shuffled, raw, stride)
-	return append(buf, shuffled...)
+	shuffleBytes(shuffled, raw, 8)
+	return append(buf, shuffled...), nil
 }
 
-// RestoreCompact rewinds the receiver from a SnapshotCompact payload taken
-// from a device with the same grid dimensions and storage mode.
-func (d *Device) RestoreCompact(data []byte) error {
-	if len(data) == 0 || (data[0] != compactDeviceMagic && data[0] != compactDeviceMagic32) {
-		return fmt.Errorf("bti: restore compact: bad magic")
-	}
-	stride := 8
-	if data[0] == compactDeviceMagic32 {
-		stride = 4
-	}
-	if (stride == 4) != (d.occ32 != nil) {
-		return fmt.Errorf("bti: restore compact: snapshot storage does not match device storage %v", d.Storage())
+// Restore implements engine.Component: it rewinds the receiver in place to
+// a Snapshot taken from a device with the same grid dimensions. Every value
+// is checked before any is applied — occupancies must lie in [0, 1], the
+// permanent components and the age must be finite and non-negative — so a
+// rejected payload leaves the device untouched.
+func (d *Device) Restore(data []byte) error {
+	if len(data) == 0 || data[0] != deviceMagic {
+		return fmt.Errorf("bti: restore: bad magic")
 	}
 	rest := data[1:]
 	nc, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("bti: restore compact: truncated capture dim")
+		return fmt.Errorf("bti: restore: truncated capture dim")
 	}
 	rest = rest[n:]
 	ne, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("bti: restore compact: truncated emission dim")
+		return fmt.Errorf("bti: restore: truncated emission dim")
 	}
 	rest = rest[n:]
-	if int(nc) != d.params.GridCapture || int(ne) != d.params.GridEmission {
-		return fmt.Errorf("bti: restore compact: snapshot grid %dx%d does not match device %dx%d",
+	if nc != uint64(d.params.GridCapture) || ne != uint64(d.params.GridEmission) {
+		return fmt.Errorf("bti: restore: snapshot grid %dx%d does not match device %dx%d",
 			nc, ne, d.params.GridCapture, d.params.GridEmission)
 	}
-	cells := d.params.GridCapture * d.params.GridEmission
-	if len(rest) != 24+stride*cells {
-		return fmt.Errorf("bti: restore compact: payload %dB, want %dB", len(rest), 24+stride*cells)
+	cells := len(d.occ)
+	if len(rest) != 24+8*cells {
+		return fmt.Errorf("bti: restore: payload %dB, want %dB", len(rest), 24+8*cells)
 	}
-	precursorV := math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
-	lockedV := math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-	age := math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
-	raw := make([]byte, stride*cells)
-	unshuffleBytes(raw, rest[24:], stride)
-	if stride == 4 {
-		occ := make([]float32, cells)
-		for i := range occ {
-			occ[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-			if occ[i] < 0 || occ[i] > 1 {
-				return fmt.Errorf("bti: restore compact: occupancy[%d] = %g outside [0,1]", i, occ[i])
-			}
+	var perm [3]float64 // precursorV, lockedV, age
+	for i, name := range []string{"precursor", "locked", "age"} {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("bti: restore: %s = %g, want finite and non-negative", name, v)
 		}
-		copy(d.occ32, occ)
-	} else {
-		occ := make([]float64, cells)
-		for i := range occ {
-			occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			if occ[i] < 0 || occ[i] > 1 {
-				return fmt.Errorf("bti: restore compact: occupancy[%d] = %g outside [0,1]", i, occ[i])
-			}
-		}
-		copy(d.occ, occ)
+		perm[i] = v
 	}
-	d.precursorV = precursorV
-	d.lockedV = lockedV
-	d.age = age
+	raw := make([]byte, 8*cells)
+	unshuffleBytes(raw, rest[24:], 8)
+	occ := make([]float64, cells)
+	for i := range occ {
+		occ[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if !(occ[i] >= 0 && occ[i] <= 1) {
+			return fmt.Errorf("bti: restore: occupancy[%d] = %g outside [0,1]", i, occ[i])
+		}
+	}
+	copy(d.occ, occ)
+	d.precursorV, d.lockedV, d.age = perm[0], perm[1], perm[2]
 	return nil
 }

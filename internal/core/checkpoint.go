@@ -31,7 +31,6 @@ type simState struct {
 	PolicyName    string
 	PolicyState   []byte // nil when the policy is stateless
 	Lean          bool   // series holds only the latest StepStats
-	Compact       bool   // component payloads use the compact codecs
 	LastTemps     []float64
 	SensedShift   []float64
 	SensedEMDelta float64
@@ -66,94 +65,21 @@ func wantSeriesLen(state simState) int {
 	return state.Step
 }
 
-// restoreComponent rewinds one component from the snapshot, dispatching on
-// the payload form the checkpoint was taken with.
-func restoreComponent(snap *engine.SystemSnapshot, name string, compact bool, c engine.Component, restoreCompact func([]byte) error) error {
-	if !compact {
-		return snap.Restore(name, c)
-	}
-	data, err := snap.Bytes(name)
-	if err != nil {
-		return err
-	}
-	if err := restoreCompact(data); err != nil {
-		return fmt.Errorf("engine: restore %q: %w", name, err)
-	}
-	return nil
-}
-
 // Snapshot checkpoints the whole system — every BTI core, EM segment, the
 // thermal and power grids, all sensor noise streams, the policy's planning
-// state and the report accumulators — into one versioned blob. It must be
-// taken on a step boundary (never from inside a hook).
+// state and the report accumulators — into one versioned engine container.
+// Each component writes its own codec and the container DEFLATEs the lot,
+// which keeps a mature 8×8 chip under a committed byte budget and lets a
+// fleet suspend evicted chips to in-memory blobs. It must be taken on a
+// step boundary (never from inside a hook).
 func (s *Simulator) Snapshot() ([]byte, error) {
-	return s.snapshot(false)
-}
-
-// SnapshotCompact is Snapshot in the compact fleet framing: per-component
-// compact codecs for the numerous BTI/EM/sensor components (the grids and
-// the sim state stay gob — one each per chip) inside the DEFLATE-compressed
-// engine container. Restore accepts both forms; the compact one is a small
-// fraction of the gob size, which is what lets a fleet suspend evicted
-// chips to in-memory blobs. Size is guarded by a regression test against a
-// committed byte budget.
-func (s *Simulator) SnapshotCompact() ([]byte, error) {
-	return s.snapshot(true)
-}
-
-func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 	var start time.Time
 	if metCkptSaveSeconds != nil {
 		start = time.Now()
 	}
 	snap := engine.NewSystemSnapshot(s.step)
-	for i, dev := range s.cores {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapCore(i), dev.SnapshotCompact())
-		} else {
-			err = snap.Add(snapCore(i), dev)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, ro := range s.sensors {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapROSensor(i), ro.SnapshotCompact())
-		} else {
-			err = snap.Add(snapROSensor(i), ro)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for k, seg := range s.segments {
-		var err error
-		if compact {
-			err = snap.AddBytes(snapSegment(k), seg.SnapshotCompact())
-		} else {
-			err = snap.Add(snapSegment(k), seg)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if compact {
-		if err := snap.AddBytes(snapEMSensor, s.emSensor.SnapshotCompact()); err != nil {
-			return nil, err
-		}
-	} else if err := snap.Add(snapEMSensor, s.emSensor); err != nil {
+	if err := s.eachComponent(snap.Add); err != nil {
 		return nil, err
-	}
-	for _, c := range []struct {
-		name string
-		comp engine.Component
-	}{{snapThermal, s.grid}, {snapPDN, s.power}} {
-		if err := snap.Add(c.name, c.comp); err != nil {
-			return nil, err
-		}
 	}
 
 	state := simState{
@@ -164,7 +90,6 @@ func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 		Segments:      len(s.segments),
 		PolicyName:    s.policy.Name(),
 		Lean:          s.opts.LeanSeries,
-		Compact:       compact,
 		LastTemps:     s.lastTemps,
 		SensedShift:   s.sensedShift,
 		SensedEMDelta: s.sensedEMDelta,
@@ -191,13 +116,7 @@ func (s *Simulator) snapshot(compact bool) ([]byte, error) {
 	if err := snap.AddBytes(snapSim, buf.Bytes()); err != nil {
 		return nil, err
 	}
-	var blob []byte
-	var err error
-	if compact {
-		blob, err = snap.EncodeCompact()
-	} else {
-		blob, err = snap.Encode()
-	}
+	blob, err := snap.Encode()
 	if err != nil {
 		return nil, err
 	}
@@ -255,31 +174,8 @@ func (s *Simulator) Restore(data []byte) error {
 		}
 	}
 
-	for i, dev := range s.cores {
-		if err := restoreComponent(snap, snapCore(i), state.Compact, dev, dev.RestoreCompact); err != nil {
-			return err
-		}
-	}
-	for i, ro := range s.sensors {
-		if err := restoreComponent(snap, snapROSensor(i), state.Compact, ro, ro.RestoreCompact); err != nil {
-			return err
-		}
-	}
-	for k, seg := range s.segments {
-		if err := restoreComponent(snap, snapSegment(k), state.Compact, seg, seg.RestoreCompact); err != nil {
-			return err
-		}
-	}
-	if err := restoreComponent(snap, snapEMSensor, state.Compact, s.emSensor, s.emSensor.RestoreCompact); err != nil {
+	if err := s.eachComponent(snap.Restore); err != nil {
 		return err
-	}
-	for _, c := range []struct {
-		name string
-		comp engine.Component
-	}{{snapThermal, s.grid}, {snapPDN, s.power}} {
-		if err := snap.Restore(c.name, c.comp); err != nil {
-			return err
-		}
 	}
 
 	s.step = state.Step
@@ -297,6 +193,35 @@ func (s *Simulator) Restore(data []byte) error {
 	metCkptRestores.Inc()
 	if metCkptRestSeconds != nil {
 		metCkptRestSeconds.Observe(time.Since(start).Seconds())
+	}
+	return nil
+}
+
+// eachComponent calls fn with the snapshot name of every engine component
+// the simulator owns, stopping at the first error.
+func (s *Simulator) eachComponent(fn func(name string, c engine.Component) error) error {
+	for i, dev := range s.cores {
+		if err := fn(snapCore(i), dev); err != nil {
+			return err
+		}
+	}
+	for i, ro := range s.sensors {
+		if err := fn(snapROSensor(i), ro); err != nil {
+			return err
+		}
+	}
+	for k, seg := range s.segments {
+		if err := fn(snapSegment(k), seg); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		comp engine.Component
+	}{{snapEMSensor, s.emSensor}, {snapThermal, s.grid}, {snapPDN, s.power}} {
+		if err := fn(c.name, c.comp); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,120 +1,96 @@
 package em
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// wireSnapshot is the serialised form of a Wire's mutable state.
-type wireSnapshot struct {
-	Params Params
-	Sigma  []float64
-	Voids  [2]voidSnapshot
-	Broken bool
-	Time   float64
-}
+// Snapshot codec for Reduced segments. A system checkpoint holds many
+// segments whose params the owning chip's configuration already pins, so a
+// snapshot is a fixed 60-byte frame of the mutable state only: magic,
+// nucleation progress, broken flag, then per void end an open flag and the
+// three lengths.
 
-type voidSnapshot struct {
-	Open          bool
-	LenM, MaxLenM float64
-	PermM         float64
-}
+const reducedMagic = 'E'
 
-// Snapshot serialises the wire's stress and void state for checkpointing.
-func (w *Wire) Snapshot() ([]byte, error) {
-	snap := wireSnapshot{
-		Params: w.params,
-		Sigma:  w.sigma,
-		Broken: w.broken,
-		Time:   w.time,
-	}
-	for i, v := range w.voids {
-		snap.Voids[i] = voidSnapshot{Open: v.open, LenM: v.lenM, MaxLenM: v.maxLenM, PermM: v.permM}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("em: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+const reducedSnapshotSize = 1 + 8 + 1 + 2*(1+3*8)
 
-// reducedSnapshot is the serialised form of a Reduced segment's mutable
-// state, parameters alongside for compatibility checking on restore.
-type reducedSnapshot struct {
-	Params   ReducedParams
-	Progress float64
-	Voids    [2]voidSnapshot
-	Broken   bool
-}
-
-// Snapshot serialises the segment's nucleation and void state for
-// checkpointing system simulations.
+// Snapshot implements engine.Component: it serialises the segment's
+// nucleation and void state. Restore it on a segment built from the same
+// ReducedParams. The error is always nil.
 func (r *Reduced) Snapshot() ([]byte, error) {
-	snap := reducedSnapshot{Params: r.p, Progress: r.progress, Broken: r.broken}
-	for i, v := range r.voids {
-		snap.Voids[i] = voidSnapshot{Open: v.open, LenM: v.lenM, MaxLenM: v.maxLenM, PermM: v.permM}
+	buf := make([]byte, 0, reducedSnapshotSize)
+	buf = append(buf, reducedMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.progress))
+	buf = append(buf, boolByte(r.broken))
+	for _, v := range r.voids {
+		buf = append(buf, boolByte(v.open))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.lenM))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.maxLenM))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.permM))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("em: reduced snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// Restore rewinds the segment in place to a Snapshot.
+// Restore implements engine.Component: it rewinds the segment in place to a
+// Snapshot, keeping its parameters. The progress must be finite, every void
+// length finite and non-negative, and every flag 0 or 1; a rejected payload
+// leaves the segment untouched.
 func (r *Reduced) Restore(data []byte) error {
-	nr, err := RestoreReduced(data)
+	if len(data) != reducedSnapshotSize || data[0] != reducedMagic {
+		return fmt.Errorf("em: restore: payload %dB with magic %#x, want %dB frame",
+			len(data), firstByte(data), reducedSnapshotSize)
+	}
+	progress := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+	if math.IsNaN(progress) || math.IsInf(progress, 0) {
+		return fmt.Errorf("em: restore: nucleation progress %g is not finite", progress)
+	}
+	broken, err := flagByte(data[9], "broken")
 	if err != nil {
 		return err
 	}
-	*r = *nr
+	var voids [2]voidState
+	off := 10
+	for i := range voids {
+		open, err := flagByte(data[off], "void open")
+		if err != nil {
+			return err
+		}
+		var lens [3]float64 // lenM, maxLenM, permM
+		for k := range lens {
+			lens[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+1+8*k:]))
+			if !(lens[k] >= 0) || math.IsInf(lens[k], 1) {
+				return fmt.Errorf("em: restore: void length %g at end %d, want finite and non-negative", lens[k], i)
+			}
+		}
+		voids[i] = voidState{open: open, lenM: lens[0], maxLenM: lens[1], permM: lens[2]}
+		off += 25
+	}
+	r.progress = progress
+	r.broken = broken
+	r.voids = voids
 	return nil
 }
 
-// RestoreReduced rebuilds a reduced-order segment from a Snapshot.
-func RestoreReduced(data []byte) (*Reduced, error) {
-	var snap reducedSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("em: reduced restore: %w", err)
+func boolByte(b bool) byte {
+	if b {
+		return 1
 	}
-	r, err := NewReduced(snap.Params)
-	if err != nil {
-		return nil, fmt.Errorf("em: reduced restore: %w", err)
-	}
-	for i, v := range snap.Voids {
-		if v.LenM < 0 {
-			return nil, fmt.Errorf("em: reduced restore: negative void length at end %d", i)
-		}
-		r.voids[i] = voidState{open: v.Open, lenM: v.LenM, maxLenM: v.MaxLenM, permM: v.PermM}
-	}
-	r.progress = snap.Progress
-	r.broken = snap.Broken
-	return r, nil
+	return 0
 }
 
-// RestoreWire rebuilds a wire from a Snapshot.
-func RestoreWire(data []byte) (*Wire, error) {
-	var snap wireSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("em: restore: %w", err)
+// flagByte decodes a boolean stored by boolByte.
+func flagByte(b byte, what string) (bool, error) {
+	if b > 1 {
+		return false, fmt.Errorf("em: restore: %s flag %#x, want 0 or 1", what, b)
 	}
-	w, err := NewWire(snap.Params)
-	if err != nil {
-		return nil, fmt.Errorf("em: restore: %w", err)
+	return b == 1, nil
+}
+
+func firstByte(data []byte) byte {
+	if len(data) == 0 {
+		return 0
 	}
-	if len(snap.Sigma) != len(w.sigma) {
-		return nil, fmt.Errorf("em: restore: profile size %d does not match grid %d",
-			len(snap.Sigma), len(w.sigma))
-	}
-	copy(w.sigma, snap.Sigma)
-	for i, v := range snap.Voids {
-		if v.LenM < 0 || v.MaxLenM < v.LenM && v.MaxLenM < v.PermM {
-			return nil, fmt.Errorf("em: restore: inconsistent void state at end %d", i)
-		}
-		w.voids[i] = voidState{open: v.Open, lenM: v.LenM, maxLenM: v.MaxLenM, permM: v.PermM}
-	}
-	w.broken = snap.Broken
-	w.time = snap.Time
-	return w, nil
+	return data[0]
 }

@@ -60,7 +60,7 @@ const (
 	// — before merge and assembly — the failure `coordinate -resume` must
 	// recover from without re-running any completed point.
 	SiteCoordinatorDie Site = "coordinator-die"
-	// SiteCheckpointTruncate truncates a checkpoint blob mid-gob before it
+	// SiteCheckpointTruncate truncates a checkpoint blob mid-write before it
 	// reaches disk.
 	SiteCheckpointTruncate Site = "checkpoint-truncate"
 )

@@ -370,7 +370,7 @@ func (m *Manager) suspendLocked(c *chip) error {
 	if c.sim == nil {
 		return nil
 	}
-	blob, err := c.sim.SnapshotCompact()
+	blob, err := c.sim.Snapshot()
 	if err != nil {
 		return fmt.Errorf("fleet: suspend chip %q: %w", c.spec.ID, err)
 	}
@@ -452,7 +452,7 @@ func (m *Manager) UpdateWorkload(id string, w WorkloadSpec) (ChipStatus, error) 
 	}
 	blob := c.snap
 	if c.sim != nil {
-		if blob, err = c.sim.SnapshotCompact(); err != nil {
+		if blob, err = c.sim.Snapshot(); err != nil {
 			return ChipStatus{}, err
 		}
 	}
@@ -538,7 +538,7 @@ func (m *Manager) Checkpoint() ([]byte, error) {
 		c.mu.Lock()
 		spec, state, status := c.spec, c.snap, c.status
 		if c.sim != nil {
-			state, err = c.sim.SnapshotCompact()
+			state, err = c.sim.Snapshot()
 		}
 		c.mu.Unlock()
 		if err != nil {
@@ -562,7 +562,7 @@ func (m *Manager) Checkpoint() ([]byte, error) {
 			}
 		}
 	}
-	return snap.EncodeCompact()
+	return snap.Encode()
 }
 
 // Restore loads a Checkpoint into an empty manager and rehydrates every

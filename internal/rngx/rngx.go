@@ -6,8 +6,7 @@
 package rngx
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -116,21 +115,97 @@ func (s *Source) Perm(n int) []int {
 // Bool draws true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 
-// sourceSnapshot is the serialised form of a Source: the original seed plus
-// the run-length-encoded journal of draws made since creation.
-type sourceSnapshot struct {
-	Seed int64
-	Runs []opRun
+// Snapshot codec: one byte of magic, the seed, then (kind, arg, count) per
+// journal run, all varint-framed. For the regular draw patterns simulation
+// components produce (one identical draw per step) this stays a few bytes
+// regardless of stream age.
+
+// snapshotMagic leads every Source snapshot.
+const snapshotMagic = 'R'
+
+// Replay bounds. Restoring replays every journalled draw, so a corrupt or
+// hostile count could otherwise pin a CPU for hours or, through Perm,
+// allocate without limit. A fleet chip's horizon caps at 10^7 steps and each
+// sensor stream draws once per step; the draw budget leaves an order of
+// magnitude above that and replays in about a second.
+const (
+	maxReplayDraws = 1 << 27 // total draws; a Perm(n) costs about 4n
+	maxPermN       = 1 << 20 // largest permutation a journal may replay
+)
+
+// Snapshot serialises the stream state. Restore continues the exact
+// sequence the original would have produced.
+func (s *Source) Snapshot() []byte {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64*(2+3*len(s.journal)))
+	buf = append(buf, snapshotMagic)
+	buf = binary.AppendVarint(buf, s.seed)
+	buf = binary.AppendUvarint(buf, uint64(len(s.journal)))
+	for _, r := range s.journal {
+		buf = append(buf, r.Kind)
+		buf = binary.AppendVarint(buf, r.Arg)
+		buf = binary.AppendUvarint(buf, uint64(r.Count))
+	}
+	return buf
 }
 
-// Snapshot serialises the stream state. A restored Source continues the
-// exact sequence the original would have produced.
-func (s *Source) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sourceSnapshot{Seed: s.seed, Runs: s.journal}); err != nil {
-		return nil, fmt.Errorf("rngx: snapshot: %w", err)
+// Restore rewinds the receiver to the snapshotted stream position by
+// replaying the recorded draws against a fresh generator. A rejected
+// snapshot leaves the receiver untouched.
+func (s *Source) Restore(data []byte) error {
+	if len(data) == 0 || data[0] != snapshotMagic {
+		return fmt.Errorf("rngx: restore: bad magic")
 	}
-	return buf.Bytes(), nil
+	rest := data[1:]
+	seed, n := binary.Varint(rest)
+	if n <= 0 {
+		return fmt.Errorf("rngx: restore: truncated seed")
+	}
+	rest = rest[n:]
+	count, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return fmt.Errorf("rngx: restore: truncated run count")
+	}
+	rest = rest[n:]
+	// Each run occupies at least three bytes (kind plus two varints), so a
+	// count beyond len/3 means a corrupt header; reject before allocating.
+	if count > uint64(len(rest))/3 {
+		return fmt.Errorf("rngx: restore: %d runs exceeds payload", count)
+	}
+	runs := make([]opRun, 0, count)
+	var draws uint64
+	for i := uint64(0); i < count; i++ {
+		if len(rest) == 0 {
+			return fmt.Errorf("rngx: restore: truncated run %d", i)
+		}
+		kind := rest[0]
+		rest = rest[1:]
+		arg, n := binary.Varint(rest)
+		if n <= 0 {
+			return fmt.Errorf("rngx: restore: truncated arg in run %d", i)
+		}
+		rest = rest[n:]
+		cnt, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("rngx: restore: truncated count in run %d", i)
+		}
+		rest = rest[n:]
+		cost := uint64(1)
+		if kind == opPerm {
+			if arg < 0 || arg > maxPermN {
+				return fmt.Errorf("rngx: restore: run %d: Perm(%d) outside [0, %d]", i, arg, maxPermN)
+			}
+			cost = 4 * max(uint64(arg), 1)
+		}
+		if cnt > maxReplayDraws || draws+cnt*cost > maxReplayDraws {
+			return fmt.Errorf("rngx: restore: journal replays more than %d draws", maxReplayDraws)
+		}
+		draws += cnt * cost
+		runs = append(runs, opRun{Kind: kind, Arg: arg, Count: int64(cnt)})
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("rngx: restore: %d trailing bytes", len(rest))
+	}
+	return s.replay(seed, runs)
 }
 
 // replay advances a fresh generator for the seed through the journal and
@@ -176,23 +251,4 @@ func (s *Source) replay(seed int64, runs []opRun) error {
 	s.seed = seed
 	s.journal = runs
 	return nil
-}
-
-// Restore rewinds the receiver to the snapshotted stream position by
-// replaying the recorded draws against a fresh generator.
-func (s *Source) Restore(data []byte) error {
-	var snap sourceSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("rngx: restore: %w", err)
-	}
-	return s.replay(snap.Seed, snap.Runs)
-}
-
-// RestoreSource rebuilds a Source from a Snapshot.
-func RestoreSource(data []byte) (*Source, error) {
-	s := New(0)
-	if err := s.Restore(data); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

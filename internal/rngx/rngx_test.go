@@ -139,12 +139,9 @@ func TestSnapshotRestoreContinuesSequence(t *testing.T) {
 	s.LogNormal(0, 0.5)
 	s.Uniform(1, 2)
 	s.Bool(0.5)
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreSource(snap)
-	if err != nil {
+	snap := s.Snapshot()
+	r := New(0)
+	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -162,10 +159,7 @@ func TestSnapshotRestoreInPlace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Normal(0, 1)
 	}
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	want := s.Float64()
 	other := New(999) // differently seeded and positioned
 	other.IntN(4)
@@ -180,13 +174,10 @@ func TestSnapshotRestoreInPlace(t *testing.T) {
 func TestSnapshotSplitChildrenReproducible(t *testing.T) {
 	s := New(12)
 	s.Float64()
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	wantChild := s.Split(5).Float64()
-	r, err := RestoreSource(snap)
-	if err != nil {
+	r := New(0)
+	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Split(5).Float64(); got != wantChild {
@@ -195,7 +186,7 @@ func TestSnapshotSplitChildrenReproducible(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := RestoreSource([]byte("junk")); err == nil {
+	if err := New(0).Restore([]byte("junk")); err == nil {
 		t.Error("garbage accepted as rng snapshot")
 	}
 }

@@ -9,6 +9,7 @@ package sensor
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"deepheal/internal/rngx"
 )
@@ -38,9 +39,12 @@ func DefaultROConfig() ROConfig {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. Every field must be
+// finite: a NaN would slip through the ordered comparisons below.
 func (c ROConfig) Validate() error {
 	switch {
+	case !finite(c.FreshHz, c.SensPerV, c.NoiseSigmaHz, c.CounterHz):
+		return errors.New("sensor: configuration must be finite")
 	case c.FreshHz <= 0:
 		return errors.New("sensor: fresh frequency must be positive")
 	case c.SensPerV <= 0:
@@ -49,6 +53,16 @@ func (c ROConfig) Validate() error {
 		return errors.New("sensor: noise and quantisation must be non-negative")
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ROSensor is one instantiated ring-oscillator sensor.
@@ -105,8 +119,12 @@ func DefaultEMConfig() EMConfig {
 	return EMConfig{RefOhm: 72.78, NoiseSigmaFrac: 5e-4}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. Both fields must be
+// finite.
 func (c EMConfig) Validate() error {
+	if !finite(c.RefOhm, c.NoiseSigmaFrac) {
+		return errors.New("sensor: configuration must be finite")
+	}
 	if c.RefOhm <= 0 {
 		return errors.New("sensor: reference resistance must be positive")
 	}

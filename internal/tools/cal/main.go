@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"deepheal/internal/bti"
 	"deepheal/internal/units"
@@ -65,11 +64,6 @@ func abs(x float64) float64 {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-probe" {
-		probeCycles()
-		probeSubsteps()
-		return
-	}
 	p := bti.DefaultParams()
 	tg := paperTargets()
 	for round := 0; round < 4; round++ {
