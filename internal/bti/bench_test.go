@@ -19,6 +19,20 @@ func BenchmarkEvolveHour(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyStressPhaseUncached measures a 1 h stress phase at a
+// condition key the grid has never seen — a fresh temperature every
+// iteration, as per-tile temperatures from the thermal solve are in a
+// campaign. BenchmarkEvolveHour repeats one key and so measures the cached
+// kernel instead.
+func BenchmarkApplyStressPhaseUncached(b *testing.B) {
+	d := MustNewDevice(DefaultParams())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Apply(benchCondition(i), units.Hours(1))
+	}
+}
+
 // BenchmarkEvolveHourCoarse measures the system-simulation grid.
 func BenchmarkEvolveHourCoarse(b *testing.B) {
 	d := MustNewDevice(DefaultParams().Coarse())

@@ -25,8 +25,8 @@ type cetGrid struct {
 	kernelFloats  int                // cached kernel footprint, in float64s
 	seen          map[condKey]uint64 // key → phase that first requested it
 	phase         atomic.Uint64      // Apply-phase token source (see kernel.go)
-	scratch       sync.Pool          // *axisScratch for the direct separable sweep
-	kernelScratch sync.Pool          // *evolveKernel for uncached batch sweeps
+	axisPool      sync.Pool          // *axisScratch for sweeps and kernel fills
+	kernelScratch sync.Pool          // *evolveKernel for uncached keys, see scratchKernel
 
 	// testBuildHook, when non-nil, runs between buildKernel and the
 	// re-acquisition of mu in kernel() — tests use it to interleave a racing
@@ -80,23 +80,6 @@ func gridAxis(mu, sigma, span float64, n int) []float64 {
 		out[i] = mu - span*sigma + float64(i)*step
 	}
 	return out
-}
-
-// gridEvolve advances the occupancy vector occ (len nc*ne, values in [0,1])
-// by dt seconds under condition acceleration factors: captureAF multiplies
-// capture rates (0 when not stressing) and emitAF multiplies emission rates.
-// It dispatches through the condition-keyed kernel cache (phase is the
-// caller's Apply-phase token, see kernel.go); with every rate zero (or a
-// degenerate duration) the sweep is a no-op and is skipped.
-func gridEvolve(g *cetGrid, occ []float64, captureAF, emitAF, dt float64, phase uint64) {
-	if dt <= 0 || (captureAF <= 0 && emitAF <= 0) {
-		return
-	}
-	if k := g.kernel(captureAF, emitAF, dt, phase); k != nil {
-		kernelSweep(k, occ)
-		return
-	}
-	separableSweep(g, occ, captureAF, emitAF, dt)
 }
 
 // naiveSweep is the direct per-cell reference implementation (one

@@ -116,75 +116,12 @@ func (d *Device) ApplyObserved(c Condition, dur float64, observeEvery float64, o
 	if dur <= 0 {
 		return
 	}
-	captureAF := d.params.captureAccel(c)
-	emitAF := d.params.emissionAccel(c)
-	phase := d.grid.phase.Add(1) // see kernel.go: promotion is cross-phase
-
-	// Closed-form fast path: outside stress the permanent kinetics never
-	// read the occupancy (the generation term is zero), so k consecutive
-	// CET substeps collapse to one kernel application at the combined
-	// duration — occ = pInf + (occ0−pInf)·decay^k, with decay^k evaluated
-	// as a single exponential. The permanent component still integrates at
-	// maxSubstep resolution (it is O(1) per substep and its coefficients
-	// depend on the evolving precursor density).
-	fast := !c.Stressing()
-	occLag := 0.0 // seconds the occupancy trails `elapsed` on the fast path
-	flush := func() {
-		if occLag > 0 {
-			gridEvolve(d.grid, d.occ, captureAF, emitAF, occLag, phase)
-			occLag = 0
-		}
-	}
-
-	elapsed := 0.0
-	lastObserved := -1.0
-	nextObserve := observeEvery
-	for elapsed < dur {
-		step := math.Min(maxSubstep, dur-elapsed)
-		if observe != nil && observeEvery > 0 && elapsed+step > nextObserve {
-			step = nextObserve - elapsed
-		}
-		if step > 0 {
-			if fast {
-				occLag += step
-			} else {
-				gridEvolve(d.grid, d.occ, captureAF, emitAF, step, phase)
-			}
-			d.stepPermanent(c, emitAF, step)
-			elapsed += step
-			d.age += step
-		}
-		if observe != nil && observeEvery > 0 && elapsed >= nextObserve {
-			flush()
-			observe(elapsed, d.ShiftV())
-			lastObserved = elapsed
-			nextObserve += observeEvery
-			if nextObserve <= elapsed {
-				// observeEvery underflows at this magnitude; no further
-				// boundary is representable.
-				nextObserve = math.Inf(1)
-			}
-		} else if step <= 0 {
-			// Degenerate zero-length sub-phase from observation splitting
-			// (floating-point boundary collision): nothing can advance.
-			break
-		}
-	}
-	flush()
-	if observe != nil && lastObserved < dur {
-		observe(dur, d.ShiftV())
-	}
-}
-
-// meanOccupancy returns the device's weight-averaged occupancy in [0, 1].
-func (d *Device) meanOccupancy() float64 {
-	if d.params.MaxShiftV <= 0 {
-		return 0
-	}
-	return gridShift(d.grid, d.occ) / d.params.MaxShiftV
+	applyPhase([]*Device{d}, c, dur, observeEvery, observe)
 }
 
 // stepPermanent advances the precursor/locked kinetics by dt seconds.
+// recoverableV is the device's current Σ weight·occ (gridShift); only a
+// stressing condition reads it.
 //
 // During stress, occupied traps generate precursors at a rate scaled by the
 // stress acceleration (saturating as the permanent pool fills); precursors
@@ -193,11 +130,14 @@ func (d *Device) meanOccupancy() float64 {
 // scheduled recovery eliminates the permanent component (Fig. 4); under
 // recovery the emission acceleration anneals precursors (but never locked
 // defects).
-func (d *Device) stepPermanent(c Condition, emitAF, dt float64) {
+func (d *Device) stepPermanent(c Condition, emitAF, dt, recoverableV float64) {
 	p := d.params
 	var gen float64
 	if c.Stressing() {
-		occ := d.meanOccupancy()
+		occ := 0.0 // weight-averaged occupancy in [0, 1]
+		if p.MaxShiftV > 0 {
+			occ = recoverableV / p.MaxShiftV
+		}
 		sat := 1 - (d.precursorV+d.lockedV)/p.PermanentMaxV
 		if sat < 0 {
 			sat = 0

@@ -7,34 +7,36 @@ import (
 
 // The CET evolution kernel exploits the separable structure of the trap
 // update. A cell (i, j) relaxes toward its equilibrium occupancy with rate
-// r_ij = rc_i + re_j, so the per-substep decay factor factorises:
+// r_ij = rc_i + re_j, so the per-substep decay factorises:
 //
 //	exp(-(rc_i+re_j)·dt) = exp(-rc_i·dt) · exp(-re_j·dt)
 //
-// Evolving a grid therefore needs O(nc+ne) exponentials, not O(nc·ne): the
-// axis decay vectors are combined per cell with one multiply. Two paths
-// share that identity, chosen per condition key (captureAF, emitAF, dt):
+// Evolving a grid therefore needs O(nc+ne) exponentials, not O(nc·ne). Every
+// update runs through one phase loop (phase.go), which resolves each
+// condition key (captureAF, emitAF, dt) to one of two sweeps:
 //
-//   - A cached kernel materialises the fused per-cell pInf/decay fields, so
-//     every later substep at the same key is a pure fused multiply-add sweep
-//     with no divisions or transcendentals. Experiments and benchmarks drive
-//     a device fleet with a handful of exact conditions at the fixed
-//     maxSubstep, so this path dominates there.
-//   - A direct separable sweep computes the axis vectors into pooled scratch
-//     and fuses on the fly. System simulations feed every core a slightly
-//     different per-tile temperature each step (the CG thermal solve is
-//     warm-started, so temperatures never repeat bitwise); materialising a
-//     kernel per unique key would thrash, so unseen keys take this path.
+//   - A kernel: the fused per-cell pInf/decay fields, materialised once, so
+//     every sweep through it is a pure fused multiply-add with no divisions
+//     or transcendentals. Kernels come from the cross-phase cache below, or,
+//     for an uncached key that several sweeps share (the full substeps of a
+//     long phase, the devices of a batch), from pooled scratch filled once
+//     for the phase.
+//   - A direct separable sweep: the axis vectors into pooled scratch, fused
+//     per cell on the fly. It serves keys used once — a phase's tail, a
+//     single-substep phase, a recovery flush, whose sweep reduces to
+//     occ·decayE.
 //
-// A key is promoted to a cached kernel when it is requested from two
-// distinct Apply phases (each ApplyObserved call draws a fresh phase token
-// from the grid's atomic counter). Promotion deliberately ignores repeats
-// within one phase: a phase re-uses its key once per substep, which the
-// separable sweep already serves allocation-free, and materialising a
-// kernel for a key that never returns is pure churn. The two optimized
-// paths apply identical operations in identical order, so they agree
-// bit-for-bit; both match the naive per-cell-exponential reference within
-// ~1e-15 relative (see kernel_test.go).
+// The cache serves keys that recur across phases. A key is promoted to a
+// cached kernel when it is requested from two distinct Apply phases (each
+// phase draws a fresh token from the grid's atomic counter). Promotion
+// deliberately ignores repeats within one phase: the phase loop already
+// holds its kernel for those, and materialising a kernel for a key that
+// never returns is pure churn. Steady fleets repeat keys bitwise and live
+// on the cache; campaigns feed every core a slightly different temperature
+// each step, so their keys rarely return. The two sweeps apply identical
+// operations in identical order, so they agree bit-for-bit; both match the
+// naive per-cell-exponential reference within ~1e-15 relative (see
+// kernel_test.go).
 
 // condKey identifies one evolution kernel: the acceleration factors and the
 // substep length fully determine the per-cell decay and equilibrium fields.
@@ -97,10 +99,7 @@ func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKer
 	first, ok := g.seen[key]
 	if !ok || first == phase {
 		if !ok {
-			if g.seen == nil || len(g.seen) >= maxSeenKeys {
-				g.seen = make(map[condKey]uint64, 64)
-			}
-			g.seen[key] = phase
+			g.noteSeen(key, phase)
 		}
 		g.mu.Unlock()
 		metKernelMisses.Inc()
@@ -136,14 +135,24 @@ func (g *cetGrid) kernel(captureAF, emitAF, dt float64, phase uint64) *evolveKer
 		// already proved it recurs; with it, the key retries as soon as it
 		// is requested again and is refused only while the budget stays
 		// full.
-		if g.seen == nil || len(g.seen) >= maxSeenKeys {
-			g.seen = make(map[condKey]uint64, 64)
-		}
-		g.seen[key] = first
+		g.noteSeen(key, first)
 		metKernelRefusals.Inc()
 	}
 	g.mu.Unlock()
 	return k
+}
+
+// noteSeen records key's first-request phase, clearing the seen map
+// wholesale once it holds maxSeenKeys entries. Clearing in place keeps the
+// map's buckets, so a long run of one-shot keys does not reallocate them
+// every maxSeenKeys requests. g.mu must be held.
+func (g *cetGrid) noteSeen(key condKey, phase uint64) {
+	if g.seen == nil {
+		g.seen = make(map[condKey]uint64, 64)
+	} else if len(g.seen) >= maxSeenKeys {
+		clear(g.seen)
+	}
+	g.seen[key] = phase
 }
 
 // buildKernel computes the axis decay vectors and fuses them into the
@@ -160,111 +169,136 @@ func (g *cetGrid) buildKernel(captureAF, emitAF, dt float64) *evolveKernel {
 
 // fillKernel overwrites k's fields with the fused update for the condition
 // key. It is the single source of kernel values: cached kernels and the
-// batch path's pooled scratch kernels both fill through here, so the two are
-// bit-identical by construction. The emission axis uses the pooled scratch.
+// pooled scratch kernels both fill through here, so the two are
+// bit-identical by construction.
 func (g *cetGrid) fillKernel(k *evolveKernel, captureAF, emitAF, dt float64) {
-	nc, ne := g.nc, g.ne
-	sc, _ := g.scratch.Get().(*axisScratch)
-	if sc == nil || len(sc.re) != ne {
-		sc = &axisScratch{re: make([]float64, ne), decayE: make([]float64, ne)}
-	}
-	re, decayE := sc.re, sc.decayE
-	for j := range re {
-		re[j] = emitAF / g.tauE[j]
-		decayE[j] = math.Exp(-re[j] * dt)
-	}
-	for i := 0; i < nc; i++ {
-		var rc float64
-		if captureAF > 0 {
-			rc = captureAF / g.tauC[i]
-		}
-		dc := math.Exp(-rc * dt)
+	ne := g.ne
+	ax := g.axes(captureAF, emitAF, dt)
+	for i, rc := range ax.rc {
+		dc := ax.dc[i]
 		base := i * ne
-		for j := 0; j < ne; j++ {
-			rate := rc + re[j]
+		for j, re := range ax.re {
+			rate := rc + re
 			if rate <= 0 {
 				k.pInf[base+j] = 0 // the cell is frozen
 				k.decay[base+j] = 1
 				continue
 			}
 			k.pInf[base+j] = rc / rate
-			k.decay[base+j] = dc * decayE[j]
+			k.decay[base+j] = dc * ax.decayE[j]
 		}
 	}
-	g.scratch.Put(sc)
+	g.axisPool.Put(ax)
 }
 
-// kernelSweep advances the occupancy vector by one kernel substep: a pure
-// fused multiply-add sweep with no divisions or transcendentals.
-func kernelSweep(k *evolveKernel, occ []float64) {
+// kernelSweep advances the occupancy vector by one kernel substep — a pure
+// fused multiply-add sweep with no divisions or transcendentals — and
+// returns the new Σ weight·occ, accumulated in gridShift's order so it
+// equals gridShift(g, occ) bitwise.
+func kernelSweep(k *evolveKernel, weight, occ []float64) float64 {
 	pInf := k.pInf[:len(occ)]
 	decay := k.decay[:len(occ)]
+	w := weight[:len(occ)]
+	var s float64
 	for idx := range occ {
-		occ[idx] = pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
+		v := pInf[idx] + (occ[idx]-pInf[idx])*decay[idx]
+		occ[idx] = v
+		s += w[idx] * v
 	}
+	return s
 }
 
-// axisScratch is the emission-axis working set of one direct separable
-// sweep, pooled per grid so the miss path allocates nothing at steady
-// state.
+// axisScratch holds the per-axis factors of one condition key: capture
+// and emission rates and their substep decays. The per-cell update is
+// rate = rc[i] + re[j], decay = dc[i]·decayE[j]. Pooled per grid, so
+// separable sweeps and kernel fills allocate nothing at steady state.
 type axisScratch struct {
-	re, decayE []float64
+	rc, dc, re, decayE []float64
 }
 
-// separableSweep advances occ without materialising a kernel: the
-// emission-axis rates and decays are computed once into pooled scratch and
-// the capture axis is folded in per row. Bit-identical to a kernel built
-// for the same key.
-func separableSweep(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) {
-	metSeparableSweep.Inc()
-	sc, _ := g.scratch.Get().(*axisScratch)
-	if sc == nil || len(sc.re) != g.ne {
-		sc = &axisScratch{re: make([]float64, g.ne), decayE: make([]float64, g.ne)}
+// axes returns pooled axis factors for the condition key; return them to
+// g.axisPool. Outside stress (captureAF ≤ 0) the capture axis is rc = 0,
+// dc = 1 — exactly what its exponential evaluates to — without computing
+// it.
+func (g *cetGrid) axes(captureAF, emitAF, dt float64) *axisScratch {
+	ax, _ := g.axisPool.Get().(*axisScratch)
+	if ax == nil {
+		ax = &axisScratch{
+			rc: make([]float64, g.nc), dc: make([]float64, g.nc),
+			re: make([]float64, g.ne), decayE: make([]float64, g.ne),
+		}
 	}
-	re, decayE := sc.re, sc.decayE
-	for j := range re {
-		re[j] = emitAF / g.tauE[j]
-		decayE[j] = math.Exp(-re[j] * dt)
+	for j := range ax.re {
+		ax.re[j] = emitAF / g.tauE[j]
+		ax.decayE[j] = math.Exp(-ax.re[j] * dt)
 	}
-	for i := 0; i < g.nc; i++ {
-		var rc float64
+	for i := range ax.rc {
 		if captureAF > 0 {
-			rc = captureAF / g.tauC[i]
-		}
-		dc := math.Exp(-rc * dt)
-		row := occ[i*g.ne : (i+1)*g.ne]
-		for j := range row {
-			rate := rc + re[j]
-			if rate <= 0 {
-				continue
-			}
-			pInf := rc / rate
-			row[j] = pInf + (row[j]-pInf)*(dc*decayE[j])
+			ax.rc[i] = captureAF / g.tauC[i]
+			ax.dc[i] = math.Exp(-ax.rc[i] * dt)
+		} else {
+			ax.rc[i], ax.dc[i] = 0, 1
 		}
 	}
-	g.scratch.Put(sc)
+	return ax
+}
+
+// separableSweep advances occ by one substep without materialising a
+// kernel, fusing the axis factors per cell, and returns the new
+// Σ weight·occ in gridShift's order. It is bit-identical to a kernel built
+// for the same key.
+//
+// Outside stress (captureAF ≤ 0) every cell has pInf = 0 and dc = 1, so the
+// general form pInf + (occ−pInf)·dc·decayE reduces to occ·decayE: no
+// divisions, no capture-axis exponentials. The two agree bitwise for every
+// occupancy except −0, which no update produces (occupancies start at +0).
+func separableSweep(g *cetGrid, occ []float64, captureAF, emitAF, dt float64) float64 {
+	metSeparableSweep.Inc()
+	ax := g.axes(captureAF, emitAF, dt)
+	ne := g.ne
+	var s float64
+	for i, rc := range ax.rc {
+		row := occ[i*ne : (i+1)*ne]
+		if captureAF <= 0 {
+			for j, de := range ax.decayE {
+				row[j] *= de
+			}
+		} else {
+			dc := ax.dc[i]
+			for j, re := range ax.re {
+				rate := rc + re
+				if rate <= 0 {
+					continue
+				}
+				pInf := rc / rate
+				row[j] = pInf + (row[j]-pInf)*(dc*ax.decayE[j])
+			}
+		}
+		for j, w := range g.weight[i*ne : (i+1)*ne] {
+			s += w * row[j]
+		}
+	}
+	g.axisPool.Put(ax)
+	return s
 }
 
 // scratchKernel returns a pooled kernel filled for the condition key — the
-// batch sweep's answer to an uncached key: one O(nc·ne) materialisation
-// (identical values to a cached kernel, see fillKernel) amortised across
-// every device in the batch, where the per-device separable sweep would pay
-// the nc·ne divisions once per device. Return it with putScratchKernel.
+// answer to an uncached key that several sweeps will use: one O(nc·ne)
+// materialisation (identical values to a cached kernel, see fillKernel)
+// amortised across every substep of a phase and every device of a batch,
+// where each separable sweep would redo the nc·ne rate divisions. Return
+// it to g.kernelScratch.
 func (g *cetGrid) scratchKernel(captureAF, emitAF, dt float64) *evolveKernel {
 	k, _ := g.kernelScratch.Get().(*evolveKernel)
-	if k == nil || len(k.pInf) != g.nc*g.ne {
+	if k == nil {
 		k = &evolveKernel{
 			pInf:  make([]float64, g.nc*g.ne),
 			decay: make([]float64, g.nc*g.ne),
 		}
 	}
 	g.fillKernel(k, captureAF, emitAF, dt)
+	metBatchScratchKernels.Inc()
 	return k
-}
-
-// putScratchKernel recycles a scratchKernel result.
-func (g *cetGrid) putScratchKernel(k *evolveKernel) {
-	g.kernelScratch.Put(k)
 }
 
 // Shared-grid cache: devices built from equal Params reuse one immutable

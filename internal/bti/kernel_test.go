@@ -7,6 +7,7 @@ import (
 
 	"deepheal/internal/obs"
 	"deepheal/internal/rngx"
+	"deepheal/internal/units"
 )
 
 // relDiff returns |a-b| / max(|a|, |b|, floor) — a relative difference that
@@ -73,22 +74,36 @@ func TestEvolveMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestEvolveShortCircuits verifies the degenerate-input guards: zero rates
-// or a non-positive duration must leave the occupancy untouched.
+// TestEvolveShortCircuits verifies the degenerate-rate guard: a phase whose
+// capture and emission rates are both zero (recovery near absolute zero,
+// where emission freezes out) must leave the occupancy untouched.
 func TestEvolveShortCircuits(t *testing.T) {
 	p := DefaultParams().Coarse()
-	g := newCETGrid(p)
-	rng := rngx.New(7)
-	occ := randomOcc(rng, g.nc*g.ne)
-	want := append([]float64(nil), occ...)
-	gridEvolve(g, occ, 0, 0, 3600, 1)
-	gridEvolve(g, occ, 1, 1, 0, 1)
-	gridEvolve(g, occ, 1, 1, -5, 1)
-	for i := range occ {
-		if occ[i] != want[i] {
-			t.Fatalf("cell %d modified by a degenerate evolve: %g != %g", i, occ[i], want[i])
+	d := newDeviceOnGrid(p, newCETGrid(p))
+	d.Apply(StressAccel, 7200)
+	want := append([]float64(nil), d.occ...)
+	frozen := Condition{GateVoltage: 0, Temp: units.Kelvin(1)}
+	if af := p.emissionAccel(frozen); af != 0 {
+		t.Fatalf("emission acceleration at 1 K = %g, want 0", af)
+	}
+	d.Apply(frozen, 3600)
+	for i := range want {
+		if math.Float64bits(d.occ[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("cell %d modified by a zero-rate phase: %g != %g", i, d.occ[i], want[i])
 		}
 	}
+}
+
+// gridEvolve advances occ by one substep through the kernel cache — the
+// cached kernel once the key has earned one, else the separable sweep, as
+// the phase loop does for a lone device's off-size substep — and returns
+// the new Σ weight·occ. The cache tests drive it with explicit phase
+// tokens.
+func gridEvolve(g *cetGrid, occ []float64, captureAF, emitAF, dt float64, phase uint64) float64 {
+	if k := g.kernel(captureAF, emitAF, dt, phase); k != nil {
+		return kernelSweep(k, g.weight, occ)
+	}
+	return separableSweep(g, occ, captureAF, emitAF, dt)
 }
 
 // applyReference replays the seed implementation of Apply: naive per-cell
@@ -101,7 +116,7 @@ func applyReference(d *Device, c Condition, dur float64) {
 	for elapsed < dur {
 		step := math.Min(maxSubstep, dur-elapsed)
 		naiveSweep(d.grid, d.occ, captureAF, emitAF, step)
-		d.stepPermanent(c, emitAF, step)
+		d.stepPermanent(c, emitAF, step, gridShift(d.grid, d.occ))
 		elapsed += step
 		d.age += step
 	}

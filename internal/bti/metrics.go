@@ -30,7 +30,7 @@ var (
 // shared grid in the process.
 func EnableMetrics(r *obs.Registry) {
 	metKernelHits = r.Counter("deepheal_bti_kernel_hits_total",
-		"evolution substeps served by a cached condition-keyed kernel")
+		"kernel lookups served by a cached condition-keyed kernel (one per phase and substep length)")
 	metKernelMisses = r.Counter("deepheal_bti_kernel_misses_total",
 		"kernel lookups that found no cached kernel for the condition key")
 	metKernelBuilds = r.Counter("deepheal_bti_kernel_builds_total",
@@ -40,7 +40,7 @@ func EnableMetrics(r *obs.Registry) {
 	metKernelResident = r.Gauge("deepheal_bti_kernel_resident_floats",
 		"float64 words held by cached kernels across all grids")
 	metSeparableSweep = r.Counter("deepheal_bti_separable_sweeps_total",
-		"evolution substeps served by the direct separable sweep fallback")
+		"device substeps served by the direct separable sweep")
 	metGridHits = r.Counter("deepheal_bti_grid_hits_total",
 		"device constructions served by an already-resident shared CET grid")
 	metGridBuilds = r.Counter("deepheal_bti_grid_builds_total",
@@ -54,5 +54,5 @@ func EnableMetrics(r *obs.Registry) {
 	metBatchDevices = r.Counter("deepheal_bti_batch_devices_total",
 		"devices advanced through batched group sweeps")
 	metBatchScratchKernels = r.Counter("deepheal_bti_batch_scratch_kernels_total",
-		"uncached batch substeps served by a pooled scratch kernel")
+		"pooled scratch kernels filled for uncached keys shared by a phase's substeps or a batch")
 }

@@ -141,14 +141,39 @@ func WaitManifest(ctx context.Context, dir string, poll time.Duration) (*Manifes
 }
 
 // writeAtomic writes data via temp file + rename so readers never observe a
-// partial file. The temp name carries the pid so concurrent writers of the
-// same path (a lease takeover race) cannot collide on the temp file itself.
+// partial file.
 func writeAtomic(path string, data []byte) error {
-	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := writeTemp(path, data)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// writeTemp writes data to a fresh temporary file beside path and returns
+// its name. Every call gets its own file, so concurrent writers of one path
+// — in-process workers share a pid — never collide on the temporary.
+func writeTemp(path string, data []byte) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return "", err
+	}
+	_, werr := f.Write(data)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Chmod(f.Name(), 0o644)
+	}
+	if werr != nil {
+		os.Remove(f.Name())
+		return "", werr
+	}
+	return f.Name(), nil
 }
 
 // lease is the on-disk claim a worker holds on a point's hash while
@@ -226,15 +251,17 @@ func acquireLease(dir, hash, key, worker string, ttl time.Duration, maxAttempts 
 	if err != nil {
 		return leaseClaim{}, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	// The claim is written in full before it appears: linking a complete
+	// temporary into place fails with EEXIST if any lease is there, so no
+	// reader ever sees an empty or partial claim and mistakes it for a
+	// corrupt one.
+	tmp, err := writeTemp(path, append(data, '\n'))
+	if err != nil {
+		return leaseClaim{}, err
+	}
+	err = os.Link(tmp, path)
+	os.Remove(tmp)
 	if err == nil {
-		_, werr := f.Write(append(data, '\n'))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return leaseClaim{}, werr
-		}
 		return leaseClaim{ok: true, attempts: 1}, nil
 	}
 	if !os.IsExist(err) {

@@ -385,6 +385,57 @@ func TestLeaseExpiryIsStolen(t *testing.T) {
 	}
 }
 
+// TestConcurrentAcquireNeverSteals is the regression test for a lease race:
+// the claim used to be created empty with O_EXCL and written afterwards,
+// so a second worker reading in between took the empty file for a corrupt
+// claim and stole a live lease, and both computed the point. Acquirers
+// that start together on a fresh hash with a long TTL must yield exactly
+// one claim and no steal.
+func TestConcurrentAcquireNeverSteals(t *testing.T) {
+	dir := t.TempDir()
+	if err := ensureLayout(dir); err != nil {
+		t.Fatal(err)
+	}
+	const rounds, acquirers = 300, 4
+	for r := 0; r < rounds; r++ {
+		hash := campaign.Hash("concurrent-acquire", r)
+		var wg sync.WaitGroup
+		var claims, steals atomic.Int64
+		start := make(chan struct{})
+		for w := 0; w < acquirers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				c, err := acquireLease(dir, hash, "k", fmt.Sprintf("w%d", w), time.Hour, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if c.ok {
+					claims.Add(1)
+				}
+				if c.stolen {
+					steals.Add(1)
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if claims.Load() != 1 || steals.Load() != 0 {
+			t.Fatalf("round %d: %d claims and %d steals of one live lease, want 1 and 0",
+				r, claims.Load(), steals.Load())
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != rounds {
+		t.Errorf("%d files in the lease directory, want %d leases and no leftover temporaries", len(entries), rounds)
+	}
+}
+
 func TestLeaseAttemptBudgetPoisons(t *testing.T) {
 	dir := t.TempDir()
 	if err := ensureLayout(dir); err != nil {

@@ -1,11 +1,15 @@
 package circuit
 
-import "math"
+import (
+	"math"
+
+	"deepheal/internal/mathx"
+)
 
 // stampCtx carries the MNA system under assembly for one Newton iteration.
 type stampCtx struct {
-	// g is the (n+m)×(n+m) MNA matrix: n node equations + m source branches.
-	g   [][]float64
+	// a is the (n+m)×(n+m) MNA matrix: n node equations + m source branches.
+	a   *mathx.Dense
 	rhs []float64
 	// x is the current Newton iterate (node voltages then branch currents).
 	x []float64
@@ -34,14 +38,14 @@ func (s *stampCtx) vPrev(i int) float64 {
 // addG accumulates a conductance g between nodes a and b (either may be -1).
 func (s *stampCtx) addG(a, b int, g float64) {
 	if a >= 0 {
-		s.g[a][a] += g
+		s.a.Add(a, a, g)
 	}
 	if b >= 0 {
-		s.g[b][b] += g
+		s.a.Add(b, b, g)
 	}
 	if a >= 0 && b >= 0 {
-		s.g[a][b] -= g
-		s.g[b][a] -= g
+		s.a.Add(a, b, -g)
+		s.a.Add(b, a, -g)
 	}
 }
 
@@ -127,12 +131,12 @@ type vsourceElem struct {
 func (v *vsourceElem) stamp(s *stampCtx) {
 	k := v.branch
 	if v.a >= 0 {
-		s.g[v.a][k] += 1
-		s.g[k][v.a] += 1
+		s.a.Add(v.a, k, 1)
+		s.a.Add(k, v.a, 1)
 	}
 	if v.b >= 0 {
-		s.g[v.b][k] -= 1
-		s.g[k][v.b] -= 1
+		s.a.Add(v.b, k, -1)
+		s.a.Add(k, v.b, -1)
 	}
 	s.rhs[k] += v.volts
 }
@@ -204,15 +208,15 @@ func (s *stampCtx) stampVCCS(a, b, cpos, cneg int, g float64) {
 		return
 	}
 	if a >= 0 && cpos >= 0 {
-		s.g[a][cpos] += g
+		s.a.Add(a, cpos, g)
 	}
 	if a >= 0 && cneg >= 0 {
-		s.g[a][cneg] -= g
+		s.a.Add(a, cneg, -g)
 	}
 	if b >= 0 && cpos >= 0 {
-		s.g[b][cpos] -= g
+		s.a.Add(b, cpos, -g)
 	}
 	if b >= 0 && cneg >= 0 {
-		s.g[b][cneg] += g
+		s.a.Add(b, cneg, g)
 	}
 }

@@ -11,6 +11,8 @@ package circuit
 import (
 	"errors"
 	"fmt"
+
+	"deepheal/internal/mathx"
 )
 
 // Ground is the reference node; its voltage is fixed at 0.
@@ -25,6 +27,14 @@ type Circuit struct {
 	switches map[string]*switchElem
 	vsources map[string]*vsourceElem
 	isources map[string]*isourceElem
+
+	// topo describes the netlist's current shape; nil after an Add* call
+	// until the next solve rebuilds it (see prepare). a, rhs and ctx are
+	// the MNA workspace sized for it, reused by every Newton iteration.
+	topo *topology
+	a    *mathx.Dense
+	rhs  []float64
+	ctx  stampCtx
 }
 
 // New creates an empty circuit.
@@ -51,6 +61,13 @@ func (c *Circuit) node(name string) int {
 	return idx
 }
 
+// add appends an element. The netlist's shape changes, so the topology is
+// rebuilt by the next solve.
+func (c *Circuit) add(e element) {
+	c.elems = append(c.elems, e)
+	c.topo = nil
+}
+
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.nodeList) }
 
@@ -59,7 +76,7 @@ func (c *Circuit) AddResistor(name, a, b string, r float64) error {
 	if r <= 0 {
 		return fmt.Errorf("circuit: resistor %q needs positive resistance, got %g", name, r)
 	}
-	c.elems = append(c.elems, &resistorElem{name: name, a: c.node(a), b: c.node(b), g: 1 / r})
+	c.add(&resistorElem{name: name, a: c.node(a), b: c.node(b), g: 1 / r})
 	return nil
 }
 
@@ -69,7 +86,7 @@ func (c *Circuit) AddCapacitor(name, a, b string, f float64) error {
 	if f <= 0 {
 		return fmt.Errorf("circuit: capacitor %q needs positive capacitance, got %g", name, f)
 	}
-	c.elems = append(c.elems, &capacitorElem{name: name, a: c.node(a), b: c.node(b), cap: f})
+	c.add(&capacitorElem{name: name, a: c.node(a), b: c.node(b), cap: f})
 	return nil
 }
 
@@ -80,7 +97,7 @@ func (c *Circuit) AddVSource(name, a, b string, volts float64) error {
 	}
 	v := &vsourceElem{name: name, a: c.node(a), b: c.node(b), volts: volts}
 	c.vsources[name] = v
-	c.elems = append(c.elems, v)
+	c.add(v)
 	return nil
 }
 
@@ -92,7 +109,7 @@ func (c *Circuit) AddISource(name, a, b string, amps float64) error {
 	}
 	i := &isourceElem{name: name, a: c.node(a), b: c.node(b), amps: amps}
 	c.isources[name] = i
-	c.elems = append(c.elems, i)
+	c.add(i)
 	return nil
 }
 
@@ -108,7 +125,7 @@ func (c *Circuit) AddSwitch(name, a, b string, ron, roff float64) error {
 	}
 	s := &switchElem{name: name, a: c.node(a), b: c.node(b), gon: 1 / ron, goff: 1 / roff}
 	c.switches[name] = s
-	c.elems = append(c.elems, s)
+	c.add(s)
 	return nil
 }
 
@@ -165,7 +182,7 @@ func (c *Circuit) AddNMOS(name, drain, gate, source string, p MOSParams) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("%w (nmos %q)", err, name)
 	}
-	c.elems = append(c.elems, &mosElem{
+	c.add(&mosElem{
 		name: name, d: c.node(drain), g: c.node(gate), s: c.node(source), p: p, pmos: false,
 	})
 	return nil
@@ -176,31 +193,47 @@ func (c *Circuit) AddPMOS(name, drain, gate, source string, p MOSParams) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("%w (pmos %q)", err, name)
 	}
-	c.elems = append(c.elems, &mosElem{
+	c.add(&mosElem{
 		name: name, d: c.node(drain), g: c.node(gate), s: c.node(source), p: p, pmos: true,
 	})
 	return nil
 }
 
-// Solution holds node voltages and source branch currents from an analysis.
+// Solution holds node voltages and source branch currents from an analysis:
+// a copy of the solved vector and the name table of the topology it was
+// solved with. It does not change when the circuit is stepped or grown
+// afterwards.
 type Solution struct {
-	volts    map[string]float64
-	currents map[string]float64 // per voltage source, positive out of + pin into the circuit
+	x    []float64
+	topo *topology
 }
 
 // Voltage returns the solved voltage of a node (0 for ground and unknown
 // nodes; use Has to distinguish).
-func (s *Solution) Voltage(nodeName string) float64 { return s.volts[nodeName] }
+func (s *Solution) Voltage(nodeName string) float64 {
+	if idx, ok := s.topo.nodes[nodeName]; ok {
+		return s.x[idx]
+	}
+	return 0
+}
 
 // Has reports whether the node exists in the solution.
 func (s *Solution) Has(nodeName string) bool {
 	if nodeName == Ground {
 		return true
 	}
-	_, ok := s.volts[nodeName]
+	_, ok := s.topo.nodes[nodeName]
 	return ok
 }
 
 // SourceCurrent returns the current delivered by a voltage source (positive
 // flowing out of its + terminal through the external circuit).
-func (s *Solution) SourceCurrent(name string) float64 { return s.currents[name] }
+func (s *Solution) SourceCurrent(name string) float64 {
+	if k, ok := s.topo.branches[name]; ok {
+		// The branch variable is the current flowing a -> b through the
+		// source; the current delivered into the external circuit out of
+		// the + terminal is its negation.
+		return -s.x[k]
+	}
+	return 0
+}

@@ -107,6 +107,7 @@ type Simulator struct {
 	sol                             *pdn.Solution
 	recovering                      int
 	demanded, delivered             float64
+	coreErrs, segErrs               []error // wearout-stage error slots
 }
 
 // NewSimulator builds a simulator for one policy run. It is a convenience
@@ -310,7 +311,7 @@ func (s *Simulator) stageThermal() error {
 func (s *Simulator) stageWearout() error {
 	cfg := s.cfg
 	n := cfg.NumCores()
-	errs := make([]error, n)
+	errs := resetErrs(&s.coreErrs, n)
 	s.pool.ForEach(n, func(i int) {
 		temp := s.temps[i]
 		switch s.dec.Modes[i] {
@@ -343,7 +344,7 @@ func (s *Simulator) stageWearout() error {
 		sign = -1
 	}
 	edges := s.power.Edges()
-	segErrs := make([]error, len(s.segments))
+	segErrs := resetErrs(&s.segErrs, len(s.segments))
 	s.pool.ForEach(len(s.segments), func(k int) {
 		e := edges[k]
 		j := s.power.CurrentDensity(sign * s.sol.EdgeI[k])
@@ -360,6 +361,18 @@ func (s *Simulator) stageWearout() error {
 		}
 	}
 	return nil
+}
+
+// resetErrs returns *buf sized to n with every entry nil, reallocating only
+// when the size changed: the wearout stage's per-index error slots are
+// reused from step to step.
+func resetErrs(buf *[]error, n int) []error {
+	if len(*buf) != n {
+		*buf = make([]error, n)
+	} else {
+		clear(*buf)
+	}
+	return *buf
 }
 
 // stageSense samples the sensors after the wearout stage, producing the

@@ -6,6 +6,7 @@ import "testing"
 // nodes).
 func BenchmarkImplicitStep(b *testing.B) {
 	w := MustNewWire(DefaultParams())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step(jPaper, tempPaper, 30)

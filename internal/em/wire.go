@@ -38,8 +38,9 @@ type Wire struct {
 	broken bool
 	time   float64 // simulated seconds
 
-	// scratch for the tridiagonal solve
-	lower, diag, upper, rhs []float64
+	// scratch for the tridiagonal solve; sol receives the new profile and
+	// is copied into sigma only when the solve succeeds
+	lower, diag, upper, rhs, cp, sol []float64
 }
 
 // NewWire builds a fresh wire from the parameters.
@@ -56,6 +57,8 @@ func NewWire(p Params) (*Wire, error) {
 		diag:   make([]float64, n),
 		upper:  make([]float64, n),
 		rhs:    make([]float64, n),
+		cp:     make([]float64, n),
+		sol:    make([]float64, n),
 	}, nil
 }
 
@@ -215,15 +218,14 @@ func (w *Wire) implicitStep(kappa, g, dt float64) error {
 	if err := faultinject.ErrorAt(faultinject.SiteEMTridiag, ""); err != nil {
 		return fmt.Errorf("em: tridiagonal solve failed: %w", err)
 	}
-	sol, err := mathx.SolveTridiag(w.lower, w.diag, w.upper, w.rhs)
-	if err != nil {
+	if err := mathx.SolveTridiagInto(w.sol, w.cp, w.lower, w.diag, w.upper, w.rhs); err != nil {
 		// The BE system is strictly diagonally dominant for physical
 		// parameters, but degenerate inputs (NaN temperature, a corrupted
 		// restore) can still break the factorisation; surface that as an
 		// error instead of crashing the whole campaign. σ is untouched.
 		return fmt.Errorf("em: tridiagonal solve failed: %w", err)
 	}
-	copy(w.sigma, sol)
+	copy(w.sigma, w.sol)
 	return nil
 }
 

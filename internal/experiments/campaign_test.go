@@ -2,21 +2,60 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"deepheal/internal/campaign"
 )
 
+// pinnedPaperDigest is the digest of every experiment's output, in
+// registry order, hashed as outputDigest does. It is the same value the
+// benchmark's paper-all workload checks each campaign against.
+const pinnedPaperDigest = "9f8b098ca2e443e2"
+
+// outputDigestsFile holds one "<id> <sha256>" line per experiment, each the
+// hash of that experiment's ID, Title and Format. Regenerate it only for a
+// change that is meant to alter results:
+//
+//	go test ./internal/experiments -run TestCampaignParallelMatchesSerial -update-digests
+const outputDigestsFile = "testdata/output_digests.txt"
+
+var updateDigests = flag.Bool("update-digests", false, "rewrite "+outputDigestsFile+" from this run")
+
+// resultDigest hashes one experiment's output the way outputDigest does.
+func resultDigest(r Result) []byte {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n%s\n", r.ID(), r.Title(), r.Format())
+	return h.Sum(nil)
+}
+
+// outputDigest hashes every outcome's ID, Title and Format, in order, and
+// keeps the first 16 hex digits.
+func outputDigest(outs []campaign.Outcome) string {
+	h := sha256.New()
+	for _, o := range outs {
+		r := o.Value.(Result)
+		fmt.Fprintf(h, "%s\n%s\n%s\n", r.ID(), r.Title(), r.Format())
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
 // TestCampaignParallelMatchesSerial is the determinism invariant: for every
 // registered experiment, the output assembled by a parallel campaign is
-// byte-identical to a serial one.
+// byte-identical to a serial one. The serial output is also pinned: each
+// experiment's digest must match outputDigestsFile, so a numeric drift
+// names the experiment, and the whole set must match pinnedPaperDigest.
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
 	ctx := context.Background()
-	format := func(workers int) map[string]string {
+	run := func(workers int) []campaign.Outcome {
 		tasks, err := Plans()
 		if err != nil {
 			t.Fatal(err)
@@ -25,19 +64,59 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		out := make(map[string]string, len(outcomes))
-		for _, o := range outcomes {
-			out[o.Task] = o.Value.(Result).Format()
-		}
-		return out
+		return outcomes
 	}
 
-	serial := format(1)
-	parallel := format(8)
-	for _, id := range IDs() {
-		if serial[id] != parallel[id] {
-			t.Errorf("%s: parallel output differs from serial", id)
+	serialOuts := run(1)
+	serial := make(map[string]string, len(serialOuts))
+	for _, o := range serialOuts {
+		serial[o.Task] = o.Value.(Result).Format()
+	}
+	for _, o := range run(8) {
+		if serial[o.Task] != o.Value.(Result).Format() {
+			t.Errorf("%s: parallel output differs from serial", o.Task)
 		}
+	}
+
+	var lines strings.Builder
+	got := make(map[string]string, len(serialOuts))
+	for _, o := range serialOuts {
+		d := fmt.Sprintf("%x", resultDigest(o.Value.(Result)))
+		got[o.Task] = d
+		fmt.Fprintf(&lines, "%s %s\n", o.Task, d)
+	}
+	if *updateDigests {
+		if err := os.WriteFile(outputDigestsFile, []byte(lines.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(outputDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		id, d, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", outputDigestsFile, line)
+		}
+		want[id] = d
+	}
+	for _, id := range IDs() {
+		switch w, ok := want[id]; {
+		case !ok:
+			t.Errorf("%s: no pinned digest in %s", id, outputDigestsFile)
+		case got[id] != w:
+			t.Errorf("%s: output digest %s, pinned %s", id, got[id], w)
+		}
+	}
+	for id := range want {
+		if _, ok := got[id]; !ok {
+			t.Errorf("%s: pinned in %s but not registered", id, outputDigestsFile)
+		}
+	}
+	if d := outputDigest(serialOuts); d != pinnedPaperDigest {
+		t.Errorf("paper digest %s, pinned %s", d, pinnedPaperDigest)
 	}
 }
 

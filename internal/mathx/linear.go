@@ -126,34 +126,34 @@ func SolveLU(a *Dense, b []float64) ([]float64, error) {
 	return b, nil
 }
 
-// SolveTridiag solves a tridiagonal system with the Thomas algorithm.
-// lower, diag and upper are the sub-, main and super-diagonals; lower[0] and
-// upper[n-1] are ignored. All slices must have length n. The inputs are not
-// modified.
-func SolveTridiag(lower, diag, upper, rhs []float64) ([]float64, error) {
+// SolveTridiagInto solves a tridiagonal system with the Thomas algorithm,
+// writing the solution to x and using cp as elimination scratch, so a
+// caller that keeps both allocates nothing per solve. lower, diag and upper
+// are the sub-, main and super-diagonals; lower[0] and upper[n-1] are
+// ignored. All slices must have length n. x may alias rhs; the other
+// inputs are not modified. On error x holds partial results.
+func SolveTridiagInto(x, cp, lower, diag, upper, rhs []float64) error {
 	n := len(diag)
-	if len(lower) != n || len(upper) != n || len(rhs) != n {
-		return nil, fmt.Errorf("mathx: SolveTridiag length mismatch (%d,%d,%d,%d)", len(lower), len(diag), len(upper), len(rhs))
+	if len(lower) != n || len(upper) != n || len(rhs) != n || len(x) != n || len(cp) != n {
+		return fmt.Errorf("mathx: SolveTridiagInto length mismatch (%d,%d,%d,%d,%d,%d)",
+			len(x), len(cp), len(lower), len(diag), len(upper), len(rhs))
 	}
-	cp := make([]float64, n)
-	dp := make([]float64, n)
 	if diag[0] == 0 {
-		return nil, ErrSingular
+		return ErrSingular
 	}
+	// Forward sweep; x holds the modified right-hand side d'.
 	cp[0] = upper[0] / diag[0]
-	dp[0] = rhs[0] / diag[0]
+	x[0] = rhs[0] / diag[0]
 	for i := 1; i < n; i++ {
 		den := diag[i] - lower[i]*cp[i-1]
 		if den == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		cp[i] = upper[i] / den
-		dp[i] = (rhs[i] - lower[i]*dp[i-1]) / den
+		x[i] = (rhs[i] - lower[i]*x[i-1]) / den
 	}
-	x := make([]float64, n)
-	x[n-1] = dp[n-1]
 	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
+		x[i] -= cp[i] * x[i+1]
 	}
-	return x, nil
+	return nil
 }

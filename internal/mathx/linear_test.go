@@ -100,8 +100,8 @@ func TestSolveTridiagMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveTridiag(lower, diag, upper, rhs)
-		if err != nil {
+		got, cp := make([]float64, n), make([]float64, n)
+		if err := SolveTridiagInto(got, cp, lower, diag, upper, rhs); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -113,7 +113,8 @@ func TestSolveTridiagMatchesDense(t *testing.T) {
 }
 
 func TestSolveTridiagLengthMismatch(t *testing.T) {
-	if _, err := SolveTridiag(make([]float64, 2), make([]float64, 3), make([]float64, 3), make([]float64, 3)); err == nil {
+	three := func() []float64 { return make([]float64, 3) }
+	if err := SolveTridiagInto(three(), three(), make([]float64, 2), three(), three(), three()); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
 }
